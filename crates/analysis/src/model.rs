@@ -36,8 +36,10 @@
 //! the real implementation's atomicity: every such operation holds the
 //! mailbox lock for its whole critical section. Local computation (the
 //! relaxation sweep) touches no shared state and is abstracted away.
-//! The model covers the 1-D strip topology; the 2-D block solver shares
-//! the same mailbox layer but its op ordering is not yet extracted.
+//! The model covers the 1-D strip topology, a `ranks x 1` layout. The
+//! threaded solver runs the same script for a `pr x pc` block layout,
+//! with left/right sends and receives after the up/down ones; that 2-D
+//! topology is not explored here.
 //! Buffer *identity* is abstracted to occupancy (the real link owns a
 //! single buffer, so occupancy determines identity); payload contents
 //! are abstracted to the half-iteration sequence number.
@@ -45,6 +47,7 @@
 use crate::mc::{self, ExploreStats, TransitionSystem};
 use prodpred_simgrid::faults::WorkerDeath;
 use prodpred_sor::protocol::{half_iteration_script, ExchangeOp, Peer};
+use prodpred_sor::BlockLayout;
 
 /// Upper bound on ranks the fixed-size state encoding supports.
 pub const MAX_RANKS: usize = 4;
@@ -122,22 +125,27 @@ enum MicroKind {
     Return,
 }
 
-/// Expands the solver's per-half exchange script into mailbox micro-ops.
+/// Expands the solver's per-half exchange script for rank `rank` of a
+/// `ranks x 1` strip chain into mailbox micro-ops.
 fn micro_script(rank: usize, ranks: usize) -> Vec<Micro> {
     let mut micros = Vec::new();
-    for op in half_iteration_script(rank, ranks) {
-        let (peer, kinds): (usize, [MicroKind; 2]) = match op {
-            ExchangeOp::Send(p) => (p.rank_of(rank), [MicroKind::Acquire, MicroKind::Deposit]),
-            ExchangeOp::Recv(p) => (p.rank_of(rank), [MicroKind::Take, MicroKind::Return]),
+    for op in half_iteration_script(BlockLayout::new(ranks, 1), rank) {
+        let kinds = match op {
+            ExchangeOp::Send(_) => [MicroKind::Acquire, MicroKind::Deposit],
+            ExchangeOp::Recv(_) => [MicroKind::Take, MicroKind::Return],
         };
-        let (pair, dir) = match op {
+        let (pair, dir, peer) = match op {
             // Sending up travels pair `rank-1` in the up direction;
             // sending down travels pair `rank` downward. Receives use the
             // opposite direction of the same pair.
-            ExchangeOp::Send(Peer::Up) => (rank - 1, 1),
-            ExchangeOp::Send(Peer::Down) => (rank, 0),
-            ExchangeOp::Recv(Peer::Up) => (rank - 1, 0),
-            ExchangeOp::Recv(Peer::Down) => (rank, 1),
+            ExchangeOp::Send(Peer::Up) => (rank - 1, 1, rank - 1),
+            ExchangeOp::Send(Peer::Down) => (rank, 0, rank + 1),
+            ExchangeOp::Recv(Peer::Up) => (rank - 1, 0, rank - 1),
+            ExchangeOp::Recv(Peer::Down) => (rank, 1, rank + 1),
+            ExchangeOp::Send(Peer::Left | Peer::Right)
+            | ExchangeOp::Recv(Peer::Left | Peer::Right) => {
+                unreachable!("a p x 1 layout has no horizontal neighbours")
+            }
         };
         for kind in kinds {
             micros.push(Micro {

@@ -78,7 +78,11 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             b.iter(|| {
                 let mut g = Grid::laplace_problem(n);
-                solve_parallel(&mut g, SorParams::for_grid(n, 10), p);
+                solve_parallel(
+                    &mut g,
+                    SorParams::for_grid(n, 10),
+                    &partition_equal(n - 2, p),
+                );
                 black_box(g.interior_sum())
             })
         });

@@ -7,9 +7,7 @@
 
 use prodpred_core::report::{f, render_table};
 use prodpred_simgrid::{MachineClass, Platform};
-use prodpred_sor::{
-    partition_blocks, partition_equal, simulate, simulate_blocks, BlockLayout, DistSorConfig,
-};
+use prodpred_sor::{partition_equal, simulate, BlockLayout, DistSorConfig};
 
 fn main() {
     println!("== Ablation: strip vs block decomposition ==\n");
@@ -22,9 +20,7 @@ fn main() {
             platform.network.spec.dedicated_bw = bw;
             let cfg = DistSorConfig::new(n, iterations, 0.0);
             let t_strip = simulate(&platform, &partition_equal(n - 2, p), cfg).total_secs;
-            let layout = BlockLayout::squarest(p);
-            let t_block =
-                simulate_blocks(&platform, &partition_blocks(n, layout), layout, cfg).total_secs;
+            let t_block = simulate(&platform, BlockLayout::squarest(p), cfg).total_secs;
             rows.push(vec![
                 p.to_string(),
                 net.to_string(),

@@ -27,8 +27,8 @@
 use serde::Serialize;
 
 use prodpred_core::{
-    platform2_experiment, platform2_experiment_with_faults, predict_campaign,
-    solve_strips_supervised, storm_stretched_secs, RetryPolicy,
+    platform2_experiment, platform2_experiment_with_faults, predict_campaign, solve_supervised,
+    storm_stretched_secs, RetryPolicy,
 };
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{FaultConfig, FaultSchedule};
@@ -135,7 +135,7 @@ fn campaign_half(schedules: usize) -> Vec<Term> {
     let strips = partition_equal(N - 2, RANKS);
     let outcomes = parallel_map(&campaign, 0, |_, schedule| {
         let mut grid = Grid::laplace_problem(N);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut grid,
             params,
             &strips,

@@ -206,9 +206,9 @@ fn run_shard(grid: &GridPlatform, cfg: &GridSimConfig, shard: usize) -> ShardOut
                 let r = simulate_with(
                     &strips,
                     DistSorConfig::new(cfg.tenant.n, cfg.tenant.iterations, now),
-                    |i, strip, clock| {
+                    |i, tile, clock| {
                         work_events.set(work_events.get() + 1);
-                        let elems = strip.elements(cfg.tenant.n) as f64 / 2.0;
+                        let elems = tile.elements() as f64 / 2.0;
                         grid.compute_secs(base + i, elems, clock)
                     },
                     |bytes, t| {

@@ -14,10 +14,10 @@
 //!   without touching the failing sensor until a cooldown elapses
 //!   (half-open probe, then closed on success).
 //! * [`Supervisor`] — composes the two and accumulates
-//!   [`RecoveryStats`]; [`solve_strips_supervised`] and
-//!   [`solve_blocks_supervised`] apply the same policy to a killed
-//!   parallel SOR solve, resuming each retry from the last
-//!   [`Checkpoint`](prodpred_sor::Checkpoint) instead of iteration 0.
+//!   [`RecoveryStats`]; [`solve_supervised`] applies the same policy to a
+//!   killed parallel SOR solve over strips or blocks, resuming each retry
+//!   from the last [`Checkpoint`](prodpred_sor::Checkpoint) instead of
+//!   iteration 0.
 //!
 //! Fault semantics follow [`FaultSchedule`]: the schedule's `k`-th kill
 //! applies to attempt `k` only (a consumed death does not re-fire on
@@ -27,9 +27,8 @@
 
 use prodpred_simgrid::faults::{mix, unit, FaultSchedule};
 use prodpred_sor::{
-    resume_blocks_from, resume_strips_from, try_solve_blocks_checkpointed,
-    try_solve_strips_checkpointed, BlockLayout, CheckpointPolicy, CheckpointStore, ExchangePolicy,
-    Grid, SolveError, SolveOptions, SorParams, Strip,
+    resume_from, try_solve_checkpointed, CheckpointPolicy, CheckpointStore, Decomposition,
+    ExchangePolicy, Grid, SolveError, SolveOptions, SorParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -347,24 +346,24 @@ impl SolveRecovery {
     }
 }
 
-/// Shared attempt loop of the supervised solvers: attempt 0 runs the
+/// A parallel SOR solve over strips or blocks under supervision: worker
+/// deaths from `schedule` are retried per `retry`. Attempt 0 runs the
 /// checkpointed solve from the grid's current state; each retry resumes
-/// from the latest checkpoint (or restarts if none was taken, the grid
-/// being untouched in that case). Attempt `k` suffers the schedule's
-/// `k`-th kill, if any.
-fn supervise_solve(
+/// from the latest checkpoint taken under `checkpoint` (or restarts if
+/// none was taken, the grid being untouched in that case). Attempt `k`
+/// suffers the schedule's `k`-th kill, if any. A recovered solve is
+/// bit-identical to an unfaulted one; an exhausted budget returns the
+/// last typed error.
+pub fn solve_supervised<'a>(
     grid: &mut Grid,
+    params: SorParams,
+    decomposition: impl Into<Decomposition<'a>>,
     exchange: ExchangePolicy,
     schedule: &FaultSchedule,
     retry: &RetryPolicy,
-    mut solve: impl FnMut(&mut Grid, &SolveOptions, &mut CheckpointStore) -> Result<(), SolveError>,
-    mut resume: impl FnMut(
-        &prodpred_sor::Checkpoint,
-        &mut Grid,
-        &SolveOptions,
-        &mut CheckpointStore,
-    ) -> Result<(), SolveError>,
+    checkpoint: CheckpointPolicy,
 ) -> SolveRecovery {
+    let decomposition = decomposition.into();
     let mut store = CheckpointStore::new();
     let mut stats = RecoveryStats::default();
     let mut attempt: u32 = 0;
@@ -374,10 +373,25 @@ fn supervise_solve(
             kill: schedule.kill_for_attempt(attempt),
         };
         let outcome = match store.latest().cloned() {
-            None => solve(grid, &options, &mut store),
+            None => try_solve_checkpointed(
+                grid,
+                params,
+                decomposition,
+                &options,
+                checkpoint,
+                &mut store,
+            ),
             Some(cp) => {
                 stats.resumed_iterations_saved += cp.iteration() as u64;
-                resume(&cp, grid, &options, &mut store)
+                resume_from(
+                    &cp,
+                    grid,
+                    params,
+                    decomposition,
+                    &options,
+                    checkpoint,
+                    &mut store,
+                )
             }
         };
         stats.checkpoints_taken = store.taken() as u64;
@@ -409,54 +423,11 @@ fn supervise_solve(
     }
 }
 
-/// A strip solve under supervision: worker deaths from `schedule` are
-/// retried per `retry`, each retry resuming from the last checkpoint
-/// taken under `checkpoint`. A recovered solve is bit-identical to an
-/// unfaulted one; an exhausted budget returns the last typed error.
-pub fn solve_strips_supervised(
-    grid: &mut Grid,
-    params: SorParams,
-    strips: &[Strip],
-    exchange: ExchangePolicy,
-    schedule: &FaultSchedule,
-    retry: &RetryPolicy,
-    checkpoint: CheckpointPolicy,
-) -> SolveRecovery {
-    supervise_solve(
-        grid,
-        exchange,
-        schedule,
-        retry,
-        |g, o, s| try_solve_strips_checkpointed(g, params, strips, o, checkpoint, s),
-        |cp, g, o, s| resume_strips_from(cp, g, params, strips, o, checkpoint, s),
-    )
-}
-
-/// The 2D-block analogue of [`solve_strips_supervised`].
-pub fn solve_blocks_supervised(
-    grid: &mut Grid,
-    params: SorParams,
-    layout: BlockLayout,
-    exchange: ExchangePolicy,
-    schedule: &FaultSchedule,
-    retry: &RetryPolicy,
-    checkpoint: CheckpointPolicy,
-) -> SolveRecovery {
-    supervise_solve(
-        grid,
-        exchange,
-        schedule,
-        retry,
-        |g, o, s| try_solve_blocks_checkpointed(g, params, layout, o, checkpoint, s),
-        |cp, g, o, s| resume_blocks_from(cp, g, params, layout, o, checkpoint, s),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prodpred_simgrid::faults::WorkerDeath;
-    use prodpred_sor::{partition_equal, solve_seq};
+    use prodpred_sor::{partition_equal, solve_seq, BlockLayout};
     use std::time::Duration;
 
     fn snappy() -> ExchangePolicy {
@@ -703,7 +674,7 @@ mod tests {
             }],
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,
@@ -743,7 +714,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,
@@ -776,7 +747,7 @@ mod tests {
             }],
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_blocks_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             BlockLayout::new(2, 2),
@@ -796,7 +767,7 @@ mod tests {
         let params = SorParams::for_grid(n, 8);
         let strips = partition_equal(n - 2, 2);
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,

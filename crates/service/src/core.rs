@@ -235,6 +235,17 @@ impl From<PredictorError> for ServiceError {
     }
 }
 
+/// Whether a query goes through the epoch cache and admission control.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CachePolicy {
+    /// Probe the cache, admit misses, store fresh answers, and count the
+    /// query in the serving counters.
+    Cached,
+    /// Compute every answer afresh and touch no serving counter: the
+    /// reference the cached path is pinned against.
+    Bypass,
+}
+
 /// A published snapshot stamped with the ingest tick that produced it,
 /// so the query path can judge staleness in ticks without touching the
 /// ingest lock.
@@ -595,7 +606,7 @@ impl ServiceCore {
     /// [`ServiceError::Predictor`] when the model rejects the inputs
     /// (e.g. a dry sensor under fault injection).
     pub fn query(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
-        let outcome = self.query_inner(req);
+        let outcome = self.serve(req, CachePolicy::Cached);
         match &outcome {
             Ok(r) => self.counters.record_served(r.degraded),
             Err(_) => self.counters.record_rejected(),
@@ -603,7 +614,29 @@ impl ServiceCore {
         outcome
     }
 
-    fn query_inner(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
+    /// Answers the same query with the cache (and admission control)
+    /// bypassed — the reference path tests pin the cached path against,
+    /// bit for bit, including under degraded serving states. It touches
+    /// no serving counter.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServiceCore::query`], minus
+    /// [`ServiceError::Overloaded`].
+    pub fn query_uncached(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
+        self.serve(req, CachePolicy::Bypass)
+    }
+
+    /// The one query path behind [`ServiceCore::query`] and
+    /// [`ServiceCore::query_uncached`]: validation, the snapshot load, the
+    /// serving-state derivation and the `Unavailable` refusal are shared,
+    /// and `policy` decides only whether the answer goes through the
+    /// epoch cache and admission control.
+    fn serve(
+        &self,
+        req: &PredictRequest,
+        policy: CachePolicy,
+    ) -> Result<PredictResponse, ServiceError> {
         let state = self.platform_state(req.platform)?;
         Self::validate(req)?;
         let (epoch, published) = state.published.load().ok_or(ServiceError::NotReady {
@@ -612,12 +645,18 @@ impl ServiceCore {
         let (age, breaker_open) = state.age_and_breaker(published.tick);
         let serving = ServingState::derive(age, breaker_open, &self.config.resilience);
         if serving == ServingState::Unavailable {
-            self.counters.record_unavailable();
+            if policy == CachePolicy::Cached {
+                self.counters.record_unavailable();
+            }
             return Err(ServiceError::Unavailable {
                 platform: req.platform,
                 age_ticks: age,
                 retry_after_secs: state.mirror.retry_hint(),
             });
+        }
+        if policy == CachePolicy::Bypass {
+            let response = Self::answer(&state.platform, &published.snapshot, req, epoch)?;
+            return Ok(self.finalize(response, serving, age));
         }
         let key = QueryKey::new(
             req.platform,
@@ -715,33 +754,6 @@ impl ServiceCore {
             degraded: false,
             snapshot_age_ticks: 0,
         })
-    }
-
-    /// Answers the same query with the cache (and admission control)
-    /// bypassed — the reference path tests pin the cached path against,
-    /// bit for bit, including under degraded serving states.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServiceCore::query`], minus
-    /// [`ServiceError::Overloaded`].
-    pub fn query_uncached(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
-        let state = self.platform_state(req.platform)?;
-        Self::validate(req)?;
-        let (epoch, published) = state.published.load().ok_or(ServiceError::NotReady {
-            platform: req.platform,
-        })?;
-        let (age, breaker_open) = state.age_and_breaker(published.tick);
-        let serving = ServingState::derive(age, breaker_open, &self.config.resilience);
-        if serving == ServingState::Unavailable {
-            return Err(ServiceError::Unavailable {
-                platform: req.platform,
-                age_ticks: age,
-                retry_after_secs: state.mirror.retry_hint(),
-            });
-        }
-        let response = Self::answer(&state.platform, &published.snapshot, req, epoch)?;
-        Ok(self.finalize(response, serving, age))
     }
 
     /// The latest published epoch across both platforms. They publish in

@@ -50,6 +50,9 @@ pub struct ShellHandle {
     addr: SocketAddr,
     // tidy:allow(PP010): shutdown latch only — a monotone boolean, no data is published through it
     shutdown: Arc<AtomicBool>,
+    /// Dropping this sender wakes the ingest thread out of its wait
+    /// between ticks, so shutdown never waits out a whole cadence.
+    stop_ingest: Option<mpsc::Sender<()>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -64,6 +67,7 @@ impl ShellHandle {
     pub fn shutdown(&mut self) {
         // tidy:allow(PP010): shutdown latch only — a monotone boolean, no data is published through it
         self.shutdown.store(true, Ordering::Release);
+        self.stop_ingest = None;
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -149,14 +153,14 @@ pub fn serve(core: Arc<ServiceCore>, config: &ShellConfig) -> std::io::Result<Sh
         }));
     }
 
+    let (stop_ingest, stopped) = mpsc::channel::<()>();
     {
         let core = Arc::clone(&core);
-        let shutdown = Arc::clone(&shutdown);
         let tick = Duration::from_millis(config.tick_millis.max(1));
         threads.push(std::thread::spawn(move || {
-            // tidy:allow(PP010): shutdown latch only — a monotone boolean, no data is published through it
-            while !shutdown.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
+            // Wait one cadence, then tick; the handle dropping its sender
+            // ends the wait at once with `Disconnected`.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
                 core.ingest_tick();
             }
         }));
@@ -187,6 +191,7 @@ pub fn serve(core: Arc<ServiceCore>, config: &ShellConfig) -> std::io::Result<Sh
     Ok(ShellHandle {
         addr,
         shutdown,
+        stop_ingest: Some(stop_ingest),
         threads,
     })
 }
@@ -194,3 +199,36 @@ pub fn serve(core: Arc<ServiceCore>, config: &ShellConfig) -> std::io::Result<Sh
 // Worker threads exit via channel disconnect rather than the shutdown
 // flag: the accept thread owns the sender and drops it when told to
 // stop, so no request accepted before shutdown is ever dropped.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::ServiceConfig;
+    use std::time::Instant;
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_ingest_cadence() {
+        let core = Arc::new(ServiceCore::new(ServiceConfig {
+            seed: 7,
+            horizon: 2000.0,
+            warmup: 300.0,
+            ..ServiceConfig::default()
+        }));
+        let mut handle = serve(
+            core,
+            &ShellConfig {
+                workers: 1,
+                tick_millis: 60_000,
+                ..ShellConfig::default()
+            },
+        )
+        .expect("bind an ephemeral loopback port");
+        let started = Instant::now();
+        handle.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "shutdown took {took:?} with a 60 s ingest cadence"
+        );
+    }
+}

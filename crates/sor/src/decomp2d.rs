@@ -1,5 +1,11 @@
-//! Two-dimensional block decomposition — the classic alternative to the
-//! paper's strip decomposition.
+//! Block tiles: the one unit every SOR execution in this crate runs over.
+//!
+//! A [`Decomposition`] is either the paper's strip list (Figure 6,
+//! capacity-weighted strips allowed) or a `pr x pc` block layout. Both
+//! lift to [`Block`] tiles on a [`BlockLayout`] processor grid: a strip is
+//! a block in a `p x 1` layout whose columns span the whole interior. The
+//! threaded solver, the simulator, checkpoint/resume and the supervised
+//! solve therefore each have one path for both decompositions.
 //!
 //! A strip decomposition sends `2N` boundary elements per interior
 //! processor per phase regardless of `P`; a `pr x pc` block decomposition
@@ -8,10 +14,12 @@
 //! The crossover between the two is a standard result the ablation
 //! harness reproduces (`ablation_decomposition`).
 
+use crate::decomp::Strip;
+use crate::protocol::Peer;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// One processor's block: ranges of interior rows and columns.
+/// One processor's tile: ranges of interior rows and columns.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
     /// Owning processor index (row-major in the processor grid).
@@ -22,6 +30,11 @@ pub struct Block {
     pub rows: Range<usize>,
     /// Interior grid columns `[start, end)`.
     pub cols: Range<usize>,
+    /// Elements in one simulated ghost message to a vertical neighbour.
+    /// A strip ships whole `N`-element grid rows, the convention of the
+    /// structural model's SendLR term and of every committed figure; a
+    /// block ships its `n_cols` interior segment.
+    row_message: usize,
 }
 
 impl Block {
@@ -35,9 +48,26 @@ impl Block {
         self.cols.len()
     }
 
-    /// Elements owned.
+    /// Elements owned (`NumElt_p` in the paper's component models).
     pub fn elements(&self) -> usize {
         self.n_rows() * self.n_cols()
+    }
+
+    /// Cells on the edge facing `peer`: a row segment toward a vertical
+    /// neighbour, a column segment toward a horizontal one.
+    pub fn edge_len(&self, peer: Peer) -> usize {
+        match peer {
+            Peer::Up | Peer::Down => self.n_cols(),
+            Peer::Left | Peer::Right => self.n_rows(),
+        }
+    }
+
+    /// Elements in one simulated ghost message to `peer`.
+    pub fn message_len(&self, peer: Peer) -> usize {
+        match peer {
+            Peer::Up | Peer::Down => self.row_message,
+            Peer::Left | Peer::Right => self.n_rows(),
+        }
     }
 }
 
@@ -86,29 +116,79 @@ impl BlockLayout {
         false
     }
 
-    /// The four neighbour processor indices of `(br, bc)`:
-    /// `(up, down, left, right)`, `None` at the boundary.
-    #[allow(clippy::type_complexity)]
-    pub fn neighbours(
-        &self,
-        br: usize,
-        bc: usize,
-    ) -> (Option<usize>, Option<usize>, Option<usize>, Option<usize>) {
-        assert!(br < self.pr && bc < self.pc);
-        let idx = |r: usize, c: usize| r * self.pc + c;
-        (
-            (br > 0).then(|| idx(br - 1, bc)),
-            (br + 1 < self.pr).then(|| idx(br + 1, bc)),
-            (bc > 0).then(|| idx(br, bc - 1)),
-            (bc + 1 < self.pc).then(|| idx(br, bc + 1)),
-        )
+    /// The processor `peer` of `rank` (row-major), `None` at the boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` lies outside the layout.
+    pub fn neighbour(&self, rank: usize, peer: Peer) -> Option<usize> {
+        assert!(rank < self.len(), "rank {rank} outside layout {self:?}");
+        let (br, bc) = (rank / self.pc, rank % self.pc);
+        match peer {
+            Peer::Up => (br > 0).then(|| rank - self.pc),
+            Peer::Down => (br + 1 < self.pr).then(|| rank + self.pc),
+            Peer::Left => (bc > 0).then(|| rank - 1),
+            Peer::Right => (bc + 1 < self.pc).then(|| rank + 1),
+        }
     }
 
-    /// Count of existing neighbours for `(br, bc)` (2, 3, or 4 — 2 only at
-    /// corners).
-    pub fn neighbour_count(&self, br: usize, bc: usize) -> usize {
-        let (u, d, l, r) = self.neighbours(br, bc);
-        [u, d, l, r].iter().flatten().count()
+    /// The existing neighbours of `rank` as `(peer, rank)` pairs, in the
+    /// fixed [`Peer::ALL`] order: up, down, left, right.
+    pub fn neighbours(self, rank: usize) -> impl Iterator<Item = (Peer, usize)> {
+        Peer::ALL
+            .into_iter()
+            .filter_map(move |peer| self.neighbour(rank, peer).map(|q| (peer, q)))
+    }
+}
+
+/// How the interior is split among processors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decomposition<'a> {
+    /// Row strips in processor order (capacity-weighted allowed), tiled
+    /// as a `p x 1` layout.
+    Strips(&'a [Strip]),
+    /// An equal `pr x pc` block layout.
+    Blocks(BlockLayout),
+}
+
+impl Decomposition<'_> {
+    /// The processor grid the tiles sit on.
+    pub fn layout(&self) -> BlockLayout {
+        match *self {
+            Self::Strips(strips) => BlockLayout::new(strips.len(), 1),
+            Self::Blocks(layout) => layout,
+        }
+    }
+
+    /// The tiles of an `n x n` grid in rank order. A strip tile spans
+    /// interior columns `1..n-1` and ships `n`-element ghost rows.
+    pub fn tiles(&self, n: usize) -> Vec<Block> {
+        match *self {
+            Self::Strips(strips) => strips
+                .iter()
+                .enumerate()
+                .map(|(i, strip)| Block {
+                    proc: i,
+                    coords: (i, 0),
+                    rows: strip.rows.clone(),
+                    cols: 1..n - 1,
+                    row_message: n,
+                })
+                .collect(),
+            Self::Blocks(layout) => partition_blocks(n, layout),
+        }
+    }
+}
+
+impl<'a> From<&'a Vec<Strip>> for Decomposition<'a> {
+    fn from(strips: &'a Vec<Strip>) -> Self {
+        Self::Strips(strips)
+    }
+}
+
+impl From<BlockLayout> for Decomposition<'_> {
+    fn from(layout: BlockLayout) -> Self {
+        Self::Blocks(layout)
     }
 }
 
@@ -148,20 +228,21 @@ pub fn partition_blocks(n: usize, layout: BlockLayout) -> Vec<Block> {
                 coords: (br, bc),
                 rows: rr.clone(),
                 cols: cr.clone(),
+                row_message: cr.len(),
             });
         }
     }
     out
 }
 
-/// Ghost elements a block exchanges per phase: one row segment per
-/// vertical neighbour plus one column segment per horizontal neighbour,
-/// each in both directions.
+/// Ghost elements a block exchanges per phase: one edge segment per
+/// neighbour, in both directions.
 pub fn ghost_elements_per_phase(block: &Block, layout: BlockLayout) -> usize {
-    let (u, d, l, r) = layout.neighbours(block.coords.0, block.coords.1);
-    let vertical = [u, d].iter().flatten().count() * block.n_cols();
-    let horizontal = [l, r].iter().flatten().count() * block.n_rows();
-    2 * (vertical + horizontal) // send + receive
+    let edges: usize = layout
+        .neighbours(block.proc)
+        .map(|(peer, _)| block.edge_len(peer))
+        .sum();
+    2 * edges // send + receive
 }
 
 #[cfg(test)]
@@ -206,13 +287,19 @@ mod tests {
     fn neighbour_topology() {
         let l = BlockLayout::new(3, 3);
         // Corner has two neighbours.
-        assert_eq!(l.neighbour_count(0, 0), 2);
+        assert_eq!(l.neighbours(0).count(), 2);
         // Edge has three.
-        assert_eq!(l.neighbour_count(0, 1), 3);
-        // Center has four.
-        assert_eq!(l.neighbour_count(1, 1), 4);
-        let (u, d, lft, r) = l.neighbours(1, 1);
-        assert_eq!((u, d, lft, r), (Some(1), Some(7), Some(3), Some(5)));
+        assert_eq!(l.neighbours(1).count(), 3);
+        // Center has four, in up/down/left/right order.
+        assert_eq!(
+            l.neighbours(4).collect::<Vec<_>>(),
+            vec![
+                (Peer::Up, 1),
+                (Peer::Down, 7),
+                (Peer::Left, 3),
+                (Peer::Right, 5)
+            ]
+        );
     }
 
     #[test]
@@ -221,6 +308,16 @@ mod tests {
         let blocks = partition_blocks(n, BlockLayout::new(4, 1));
         for b in &blocks {
             assert_eq!(b.n_cols(), 16);
+        }
+        // Lifted strips tile the same columns but ship whole grid rows.
+        let strips = crate::decomp::partition_rows(n - 2, &[1.0, 3.0]);
+        let decomposition = Decomposition::from(&strips);
+        assert_eq!(decomposition.layout(), BlockLayout::new(2, 1));
+        let tiles = decomposition.tiles(n);
+        for (tile, strip) in tiles.iter().zip(&strips) {
+            assert_eq!(tile.rows, strip.rows);
+            assert_eq!(tile.elements(), strip.elements(n));
+            assert_eq!(tile.message_len(Peer::Down), n);
         }
     }
 
@@ -233,7 +330,7 @@ mod tests {
         let blocks = partition_blocks(n, BlockLayout::squarest(p));
         let center = blocks
             .iter()
-            .find(|b| BlockLayout::squarest(p).neighbour_count(b.coords.0, b.coords.1) == 4)
+            .find(|b| BlockLayout::squarest(p).neighbours(b.proc).count() == 4)
             .unwrap();
         let block_ghosts = ghost_elements_per_phase(center, BlockLayout::squarest(p));
         assert!(

@@ -3,21 +3,27 @@
 //! the paper's Figures 9, 12, 14, and 16.
 //!
 //! Each processor advances a local clock. Per iteration and per colour
-//! phase it (a) computes its strip's cells, with wall-clock time obtained
+//! phase it (a) computes its tile's cells, with wall-clock time obtained
 //! by integrating work against the machine's CPU-availability trace, and
-//! (b) exchanges ghost rows with its strip neighbours over the shared
+//! (b) exchanges ghost edges with its neighbours over the shared
 //! ethernet, with transfer times integrated against the bandwidth trace.
 //! A processor cannot begin the next phase until its own sends have
-//! drained *and* both neighbours' rows have arrived — the loose
+//! drained *and* every neighbour's edge has arrived — the loose
 //! synchronization whose accumulated delays produce the "skew" of the
 //! paper's Figure 7 (bounded by `P` iterations).
+//!
+//! One loop serves both decompositions: a strip is a tile of a `p x 1`
+//! layout with up to two neighbours, a block has up to four. The only
+//! difference is the per-tile message length ([`Block::message_len`]):
+//! strips ship whole `N`-element grid rows, as the structural model's
+//! SendLR term assumes, and blocks ship interior segments.
 //!
 //! Self-contention among the application's own transfers is not modelled
 //! separately: the bandwidth-availability trace already carries the
 //! segment's contention state, and the application's ghost rows are small
 //! compared to the competing traffic.
 
-use crate::decomp::Strip;
+use crate::decomp2d::{Block, Decomposition};
 use prodpred_simgrid::Platform;
 use serde::{Deserialize, Serialize};
 
@@ -70,68 +76,71 @@ pub struct DistSorResult {
 /// `prodpred-core`'s sharded tenant simulation with
 /// [`prodpred_simgrid::grid::GridPlatform`] trace views.
 ///
-/// `compute(proc, strip, clock)` returns the wall-clock seconds for
-/// `proc` to finish one colour phase of `strip` starting at `clock`;
-/// `transfer(bytes, t)` the seconds to move one ghost-row message
-/// starting at `t`. [`simulate`] wraps this with closures performing the
-/// exact arithmetic it always performed, so results are bit-identical.
+/// `compute(proc, tile, clock)` returns the wall-clock seconds for
+/// `proc` to finish one colour phase of `tile` starting at `clock`;
+/// `transfer(bytes, t)` the seconds to move one ghost message starting at
+/// `t`. [`simulate`] wraps this with closures performing the exact
+/// arithmetic it always performed, so results are bit-identical.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty or `iterations == 0`.
-pub fn simulate_with(
-    strips: &[Strip],
+/// Panics if any tile is empty or `iterations == 0`.
+pub fn simulate_with<'a>(
+    decomposition: impl Into<Decomposition<'a>>,
     cfg: DistSorConfig,
-    mut compute: impl FnMut(usize, &Strip, f64) -> f64,
+    mut compute: impl FnMut(usize, &Block, f64) -> f64,
     mut transfer: impl FnMut(f64, f64) -> f64,
 ) -> DistSorResult {
     assert!(cfg.iterations > 0, "need at least one iteration");
+    let decomposition = decomposition.into();
+    let layout = decomposition.layout();
+    let tiles = decomposition.tiles(cfg.n);
     assert!(
-        strips.iter().all(|s| s.n_rows() > 0),
-        "every strip needs rows"
+        tiles.iter().all(|t| t.elements() > 0),
+        "every tile needs cells"
     );
-    let p = strips.len();
-    let ghost_bytes = cfg.n as f64 * BYTES_PER_ELEMENT;
+    // Per tile, its neighbours in script order with the bytes of one
+    // ghost message to each.
+    let neighbours: Vec<Vec<(usize, f64)>> = tiles
+        .iter()
+        .enumerate()
+        .map(|(i, tile)| {
+            layout
+                .neighbours(i)
+                .map(|(peer, q)| (q, tile.message_len(peer) as f64 * BYTES_PER_ELEMENT))
+                .collect()
+        })
+        .collect();
+    let p = tiles.len();
 
     let mut clocks = vec![cfg.start_time; p];
+    let mut ready = vec![0.0f64; p];
     let mut iteration_secs = Vec::with_capacity(cfg.iterations);
     let mut frontier_prev = cfg.start_time;
 
     for _iter in 0..cfg.iterations {
         for _color in 0..2 {
-            // Compute phase: half the strip's elements have this colour.
-            let mut ready = vec![0.0f64; p];
-            for (i, strip) in strips.iter().enumerate() {
-                let dt = compute(i, strip, clocks[i]);
-                ready[i] = clocks[i] + dt;
+            // Compute phase: half the tile's elements have this colour.
+            for (i, tile) in tiles.iter().enumerate() {
+                ready[i] = clocks[i] + compute(i, tile, clocks[i]);
             }
-
-            if p == 1 {
-                clocks[0] = ready[0];
-            } else {
-                // Communication phase. A ghost-row exchange with a
-                // neighbour is a rendezvous: it cannot begin until both
-                // parties finish computing (neighbour lateness propagates —
-                // the skew of Figure 7). On the half-duplex shared segment
-                // each exchange then occupies one message slot per
-                // direction at the endpoint, so an interior processor pays
-                // for four transfers per phase (SendLR + ReceLR in the
-                // structural model) and an edge processor for two.
-                for i in 0..p {
-                    let mut sync = ready[i];
-                    if i > 0 {
-                        sync = sync.max(ready[i - 1]);
-                    }
-                    if i < p - 1 {
-                        sync = sync.max(ready[i + 1]);
-                    }
-                    let mut t = sync;
-                    let messages = 2 * (usize::from(i > 0) + usize::from(i < p - 1));
-                    for _ in 0..messages {
-                        t += transfer(ghost_bytes, t);
-                    }
-                    clocks[i] = t;
+            // Communication phase. A ghost exchange with a neighbour is a
+            // rendezvous: it cannot begin until both parties finish
+            // computing (neighbour lateness propagates — the skew of
+            // Figure 7). On the half-duplex shared segment each exchange
+            // then occupies one message slot per direction at the
+            // endpoint, so an interior strip pays for four transfers per
+            // phase (SendLR + ReceLR in the structural model) and an edge
+            // strip for two.
+            for (i, links) in neighbours.iter().enumerate() {
+                let mut t = links
+                    .iter()
+                    .fold(ready[i], |sync, &(q, _)| sync.max(ready[q]));
+                for &(_, bytes) in links {
+                    t += transfer(bytes, t); // send
+                    t += transfer(bytes, t); // receive
                 }
+                clocks[i] = t;
             }
         }
         let frontier = clocks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -149,27 +158,33 @@ pub fn simulate_with(
     }
 }
 
-/// Simulates one distributed SOR run.
+/// Simulates one distributed SOR run over `decomposition` (strips or
+/// blocks), tile `i` on machine `i`.
 ///
 /// # Panics
 ///
-/// Panics if there are more strips than machines, if any strip is empty,
+/// Panics if there are more tiles than machines, if any tile is empty,
 /// or if `iterations == 0`.
-pub fn simulate(platform: &Platform, strips: &[Strip], cfg: DistSorConfig) -> DistSorResult {
+pub fn simulate<'a>(
+    platform: &Platform,
+    decomposition: impl Into<Decomposition<'a>>,
+    cfg: DistSorConfig,
+) -> DistSorResult {
+    let decomposition = decomposition.into();
     assert!(
-        strips.len() <= platform.machines.len(),
-        "more strips than machines"
+        decomposition.layout().len() <= platform.machines.len(),
+        "more tiles than machines"
     );
     simulate_with(
-        strips,
+        decomposition,
         cfg,
-        |i, strip, clock| {
+        |i, tile, clock| {
             let machine = &platform.machines[i];
-            let mut elems = strip.elements(cfg.n) as f64 / 2.0;
+            let mut elems = tile.elements() as f64 / 2.0;
             if let Some(paging) = &cfg.paging {
                 // Paging inflates the per-element cost; expressing it
                 // as extra elements keeps the load-trace integration.
-                elems *= paging.slowdown(&machine.spec, strip.elements(cfg.n) as f64);
+                elems *= paging.slowdown(&machine.spec, tile.elements() as f64);
             }
             machine.compute_secs(elems, clock)
         },
@@ -181,6 +196,7 @@ pub fn simulate(platform: &Platform, strips: &[Strip], cfg: DistSorConfig) -> Di
 mod tests {
     use super::*;
     use crate::decomp::{partition_equal, partition_rows};
+    use crate::decomp2d::BlockLayout;
     use prodpred_simgrid::{MachineClass, Platform};
 
     fn dedicated4() -> Platform {
@@ -340,11 +356,11 @@ mod tests {
         let direct = simulate_with(
             &strips,
             c,
-            |i, strip, clock| {
+            |i, tile, clock| {
                 let machine = &p.machines[i];
-                let mut elems = strip.elements(c.n) as f64 / 2.0;
+                let mut elems = tile.elements() as f64 / 2.0;
                 if let Some(paging) = &c.paging {
-                    elems *= paging.slowdown(&machine.spec, strip.elements(c.n) as f64);
+                    elems *= paging.slowdown(&machine.spec, tile.elements() as f64);
                 }
                 machine.compute_secs(elems, clock)
             },
@@ -361,5 +377,84 @@ mod tests {
     fn rejects_zero_iterations() {
         let p = dedicated4();
         simulate(&p, &partition_equal(10, 2), cfg(12, 0));
+    }
+
+    fn dedicated(p: usize) -> Platform {
+        Platform::dedicated(&vec![MachineClass::Sparc10; p], 1.0e6)
+    }
+
+    #[test]
+    fn strip_layout_matches_1d_simulator() {
+        // A pc = 1 block layout is the strip decomposition. The two agree
+        // up to the ghost-row convention: strips ship whole grid rows
+        // (N elements), blocks ship interior segments (N - 2) — a 0.2%
+        // message-size difference at N = 1000.
+        let n = 1000;
+        let p = 4;
+        let platform = dedicated(p);
+        let cfg = DistSorConfig::new(n, 10, 0.0);
+        let r2d = simulate(&platform, BlockLayout::new(p, 1), cfg);
+        let r1d = simulate(&platform, &partition_equal(n - 2, p), cfg);
+        let rel = (r2d.total_secs - r1d.total_secs).abs() / r1d.total_secs;
+        assert!(
+            rel < 0.005,
+            "2d {} vs 1d {}",
+            r2d.total_secs,
+            r1d.total_secs
+        );
+    }
+
+    #[test]
+    fn square_blocks_beat_strips_when_comm_dominates() {
+        // 16 processors, small grid, slow network: comm dominates and the
+        // square layout's shorter edges win.
+        let n = 402;
+        let p = 16;
+        let mut platform = dedicated(p);
+        // Slow the network to make communication dominant.
+        platform.network.spec.dedicated_bw = 2.0e5;
+        let cfg = DistSorConfig::new(n, 10, 0.0);
+        let t_strip = simulate(&platform, &partition_equal(n - 2, p), cfg).total_secs;
+        let t_block = simulate(&platform, BlockLayout::squarest(p), cfg).total_secs;
+        assert!(
+            t_block < t_strip,
+            "block {t_block} should beat strip {t_strip}"
+        );
+    }
+
+    #[test]
+    fn strips_beat_square_blocks_for_few_procs_low_latency() {
+        // 4 processors: strip interior procs have 2 neighbours (4 msgs),
+        // 2x2 blocks have 2 neighbours too, with shorter messages. On a
+        // fast network the layouts are close; assert both run and produce
+        // comparable times.
+        let n = 1000;
+        let p = 4;
+        let platform = dedicated(p);
+        let cfg = DistSorConfig::new(n, 10, 0.0);
+        let t_strip = simulate(&platform, &partition_equal(n - 2, p), cfg).total_secs;
+        let t_block = simulate(&platform, BlockLayout::squarest(p), cfg).total_secs;
+        let ratio = t_block / t_strip;
+        assert!(ratio > 0.7 && ratio < 1.3, "ratio {ratio}");
+    }
+
+    #[test]
+    fn blocks_are_deterministic() {
+        let platform = Platform::platform2(3, 50_000.0);
+        let cfg = DistSorConfig::new(400, 5, 100.0);
+        let a = simulate(&platform, BlockLayout::new(2, 2), cfg);
+        let b = simulate(&platform, BlockLayout::new(2, 2), cfg);
+        assert_eq!(a.total_secs, b.total_secs);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_more_tiles_than_machines() {
+        let platform = dedicated(4);
+        simulate(
+            &platform,
+            BlockLayout::new(3, 2),
+            DistSorConfig::new(100, 1, 0.0),
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The shared five-point Red-Black relaxation kernel.
 //!
-//! Every solver in this crate — [`crate::seq`], [`crate::parallel`], and
-//! [`crate::parallel2d`] — relaxes one colour of one row at a time. This
+//! Both solvers in this crate — [`crate::seq`] and the tile workers of
+//! [`crate::parallel`] — relax one colour of one row at a time. This
 //! module factors that inner loop into a single slice-based routine so the
 //! hot path is written (and optimized) exactly once: the row above, the
 //! row being updated, and the row below are passed as three slices
@@ -88,9 +88,10 @@ pub fn color_start(color_parity: usize, gi: usize, col1_global: usize) -> usize 
 /// Relaxes one colour over rows `[row_lo, row_hi)` of a flat row-major
 /// array of `n`-wide rows, using [`relax_row`] per row.
 ///
-/// Rows are global: row `i` occupies `data[i * n..(i + 1) * n]` and its
-/// colour start column is derived from `gi = global_row0 + i` (for the
-/// sequential solver `global_row0 == 0`; workers pass their strip offset).
+/// Row `i` occupies `data[i * n..(i + 1) * n]`, and `origin` is the
+/// global `(row, column)` of `data[0]`: the whole grid passes `(0, 0)`, a
+/// tile worker its halo corner. Colours follow global coordinates, so a
+/// row's start column derives from `gi = origin.0 + i`.
 ///
 /// # Panics
 ///
@@ -103,12 +104,12 @@ pub fn relax_rows(
     omega: f64,
     row_lo: usize,
     row_hi: usize,
-    global_row0: usize,
+    origin: (usize, usize),
 ) {
     assert!(row_lo >= 1, "row 0 has no row above");
     assert!(row_hi * n < data.len(), "last row needs a row below");
     for i in row_lo..row_hi {
-        let start = color_start(color_parity, global_row0 + i, 1);
+        let start = color_start(color_parity, origin.0 + i, origin.1 + 1);
         let (head, rest) = data.split_at_mut(i * n);
         let (current, tail) = rest.split_at_mut(n);
         relax_row(&head[(i - 1) * n..], current, &tail[..n], omega, start);
@@ -164,7 +165,7 @@ mod tests {
             let max_row = n - 2;
             let lo = 1 + ((lo_frac * max_row as f64) as usize).min(max_row - 1);
             let hi = (lo + 1 + (hi_frac * max_row as f64) as usize).min(n - 1);
-            relax_rows(&mut a, n, parity, omega, lo, hi, global_row0);
+            relax_rows(&mut a, n, parity, omega, lo, hi, (global_row0, 0));
             relax_rows_naive(&mut b, n, parity, omega, lo, hi, global_row0);
             prop_assert_eq!(a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                             b.iter().map(|x| x.to_bits()).collect::<Vec<_>>());

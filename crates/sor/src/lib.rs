@@ -7,27 +7,25 @@
 //!
 //! * [`seq`] — the sequential reference solver,
 //! * [`parallel`] — a real multithreaded, shared-nothing implementation
-//!   (strip decomposition, ghost-row exchange over channels), bit-for-bit
+//!   (one thread per tile, ghost-edge exchange over channels), bit-for-bit
 //!   equal to the sequential solver,
 //! * [`distsim`] — a simulated *distributed* execution on a
 //!   [`prodpred_simgrid::Platform`], integrating compute against CPU
-//!   availability traces and ghost-row transfers against the shared
+//!   availability traces and ghost transfers against the shared
 //!   ethernet, including the loose-synchronization skew of the paper's
 //!   Figure 7. This is what generates the "actual execution times" in the
 //!   experiment harness.
 //!
-//! Plus the [`grid`] data structure, [`decomp`] strip partitioning
-//! (equal and capacity-weighted, per the paper's footnote 2), the shared
-//! slice-based relaxation [`kernel`] every solver runs, and the
-//! zero-allocation ghost [`exchange`] the threaded solvers communicate
-//! through.
-//!
-//! Beyond the paper: a 2D block decomposition ([`decomp2d`]) with its own
-//! real multithreaded solver ([`parallel2d`]) and distributed simulation
-//! ([`distsim2d`]), used by the strip-vs-block ablation; and
-//! [`checkpoint`]/restart for the threaded solvers, so a killed worker
-//! resumes from the last consistent red/black iteration boundary instead
-//! of iteration 0.
+//! Both the threaded solver and the simulator run over one
+//! [`Decomposition`]: the paper's strips ([`decomp`], equal and
+//! capacity-weighted per its footnote 2), lifted to tiles of a `p x 1`
+//! layout, or a 2D block layout ([`decomp2d`], used by the strip-vs-block
+//! ablation). Plus the [`grid`] data structure, the shared slice-based
+//! relaxation [`kernel`] every solver runs, the exchange order as data
+//! ([`protocol`]), the zero-allocation ghost [`exchange`] the threaded
+//! solver communicates through, and [`checkpoint`]/restart, so a killed
+//! worker resumes from the last consistent red/black iteration boundary
+//! instead of iteration 0.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,28 +37,21 @@ pub mod checkpoint;
 pub mod decomp;
 pub mod decomp2d;
 pub mod distsim;
-pub mod distsim2d;
 pub mod exchange;
 pub mod grid;
 pub mod kernel;
 pub mod parallel;
-pub mod parallel2d;
 pub mod protocol;
 pub mod seq;
 
 pub use checkpoint::{
-    resume_blocks_from, resume_strips_from, try_solve_blocks_checkpointed,
-    try_solve_strips_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointStore,
-    CHECKPOINT_VERSION,
+    resume_from, try_solve_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy,
+    CheckpointStore, CHECKPOINT_VERSION,
 };
 pub use decomp::{partition_equal, partition_rows, Strip};
-pub use decomp2d::{partition_blocks, Block, BlockLayout};
+pub use decomp2d::{partition_blocks, Block, BlockLayout, Decomposition};
 pub use distsim::{simulate, simulate_with, DistSorConfig, DistSorResult};
-pub use distsim2d::simulate_blocks;
 pub use exchange::{ExchangeError, ExchangePolicy};
 pub use grid::{optimal_omega, Color, Grid};
-pub use parallel::{
-    solve_parallel, solve_parallel_strips, try_solve_parallel_strips, SolveError, SolveOptions,
-};
-pub use parallel2d::{solve_parallel_blocks, try_solve_parallel_blocks};
+pub use parallel::{solve_parallel, try_solve_parallel, SolveError, SolveOptions};
 pub use seq::{solve_seq, solve_until, sweep_iteration, SorParams};

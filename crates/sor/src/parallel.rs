@@ -1,29 +1,30 @@
-//! The real multithreaded Red-Black SOR: strip decomposition, per-phase
-//! ghost-row exchange over rendezvous mailboxes, loose neighbour
-//! synchronization — a shared-nothing implementation of the distributed
-//! algorithm the paper models, validated bit-for-bit against the
-//! sequential solver.
+//! The real multithreaded Red-Black SOR: one thread per tile of a
+//! [`Decomposition`] (strips or blocks), per-phase ghost-edge exchange
+//! over rendezvous mailboxes, loose neighbour synchronization — a
+//! shared-nothing implementation of the distributed algorithm the paper
+//! models, validated bit-for-bit against the sequential solver.
 //!
 //! Because each colour's update reads only the *other* colour (fixed for
-//! the duration of the sweep), the parallel result is identical to the
-//! sequential one — floating-point operation order per cell does not
-//! change with the decomposition.
+//! the duration of the sweep), and the five-point stencil needs no corner
+//! ghosts, the parallel result is identical to the sequential one —
+//! floating-point operation order per cell does not change with the
+//! decomposition.
 //!
-//! Ghost rows travel through [`crate::exchange`] links that recycle their
+//! Ghost edges travel through [`crate::exchange`] links that recycle their
 //! owned buffers (send the buffer, get it back), so steady-state
 //! iterations perform **zero heap allocations** — see the `zero_alloc`
 //! integration test.
 //!
-//! Fault tolerance: both solvers run on a fallible core
-//! ([`try_solve_parallel_strips`]) in which every ghost exchange is
-//! bounded by an [`ExchangePolicy`] and a worker's death — a panic, or an
-//! injected [`WorkerDeath`] — surfaces as
-//! [`SolveError::WorkerDied`] from the driver instead of a permanent
-//! block or a secondary panic. The infallible entry points keep their
-//! original signatures by running the same core under
+//! Fault tolerance: the solver runs on a fallible core
+//! ([`try_solve_parallel`]) in which every ghost exchange is bounded by an
+//! [`ExchangePolicy`] and a worker's death — a panic, or an injected
+//! [`WorkerDeath`] — surfaces as [`SolveError::WorkerDied`] from the
+//! solve instead of a permanent block or a secondary panic. The
+//! infallible [`solve_parallel`] runs the same core under
 //! [`ExchangePolicy::patient`].
 
-use crate::decomp::{partition_equal, Strip};
+use crate::decomp::strips_are_valid;
+use crate::decomp2d::{Block, BlockLayout, Decomposition};
 use crate::exchange::{
     recycled_link, ExchangeError, ExchangePolicy, RecycledReceiver, RecycledSender,
 };
@@ -43,13 +44,13 @@ pub enum SolveError {
     /// dropped), `rank` is the dead neighbour as seen by the first
     /// reporting worker.
     WorkerDied {
-        /// Strip (or block) index of the dead worker.
+        /// Tile index (rank) of the dead worker.
         rank: usize,
     },
     /// Worker `rank` exhausted its [`ExchangePolicy`] waiting on a
     /// neighbour that is still alive but not exchanging.
     ExchangeTimeout {
-        /// Strip (or block) index of the worker that gave up.
+        /// Tile index (rank) of the worker that gave up.
         rank: usize,
     },
     /// A resume was handed an unusable [`crate::checkpoint::Checkpoint`]
@@ -113,7 +114,7 @@ impl SolveOptions {
 }
 
 /// How one worker's run ended, as reported to the driver.
-pub(crate) enum WorkerEnd {
+enum WorkerEnd {
     Completed,
     /// The injected death fired: the worker exited, dropping its links.
     Died,
@@ -125,7 +126,7 @@ pub(crate) enum WorkerEnd {
     TimedOut,
 }
 
-pub(crate) fn end_of(e: ExchangeError, neighbour: usize) -> WorkerEnd {
+fn end_of(e: ExchangeError, neighbour: usize) -> WorkerEnd {
     match e {
         ExchangeError::Disconnected => WorkerEnd::NeighbourLost { neighbour },
         ExchangeError::Timeout => WorkerEnd::TimedOut,
@@ -136,9 +137,7 @@ pub(crate) fn end_of(e: ExchangeError, neighbour: usize) -> WorkerEnd {
 /// death (panic or injected) names its own rank; a death seen only
 /// through a dropped link names the neighbour; timeouts rank below
 /// deaths because a cascade of timeouts usually *starts* at a death.
-pub(crate) fn resolve(
-    ends: Vec<(usize, std::thread::Result<WorkerEnd>)>,
-) -> Result<(), SolveError> {
+fn resolve(ends: Vec<(usize, std::thread::Result<WorkerEnd>)>) -> Result<(), SolveError> {
     let mut lost = None;
     let mut timed_out = None;
     for (rank, end) in ends {
@@ -167,91 +166,138 @@ pub(crate) fn resolve(
 }
 
 /// True when the injected death targets `rank` at half-iteration `half`.
-pub(crate) fn death_fires(kill: Option<WorkerDeath>, rank: usize, half: usize) -> bool {
+fn death_fires(kill: Option<WorkerDeath>, rank: usize, half: usize) -> bool {
     kill.is_some_and(|d| d.rank == rank && d.at_half_iteration == half)
 }
 
-/// A worker's local state: its strip rows plus two ghost rows.
+/// A worker's local state: its tile plus a one-cell halo on every side.
+/// A strip tile spans the interior columns, so its `(rows + 2) x n` data
+/// is the strip's grid rows with one ghost row above and below.
 struct Worker {
-    /// Global index of the first owned row.
-    global_start: usize,
-    /// Number of owned rows.
     rows: usize,
-    /// Grid dimension.
-    n: usize,
-    /// Local data: `(rows + 2) x n`, row 0 = upper ghost, row rows+1 =
-    /// lower ghost.
+    cols: usize,
+    /// Global `(row, column)` of local cell `(0, 0)`, the halo corner.
+    origin: (usize, usize),
+    /// `(rows + 2) x (cols + 2)`, halo included.
     data: Vec<f64>,
 }
 
 impl Worker {
-    fn new(grid: &Grid, strip: &Strip) -> Self {
-        let n = grid.n();
-        let rows = strip.n_rows();
-        let mut data = Vec::with_capacity((rows + 2) * n);
-        // Upper ghost = row above the strip (boundary or neighbour row).
-        data.extend_from_slice(grid.row(strip.rows.start - 1));
-        for r in strip.rows.clone() {
-            data.extend_from_slice(grid.row(r));
+    fn new(grid: &Grid, tile: &Block) -> Self {
+        let (rows, cols) = (tile.n_rows(), tile.n_cols());
+        let mut data = Vec::with_capacity((rows + 2) * (cols + 2));
+        for gi in tile.rows.start - 1..=tile.rows.end {
+            data.extend_from_slice(&grid.row(gi)[tile.cols.start - 1..=tile.cols.end]);
         }
-        data.extend_from_slice(grid.row(strip.rows.end));
         Self {
-            global_start: strip.rows.start,
             rows,
-            n,
+            cols,
+            origin: (tile.rows.start - 1, tile.cols.start - 1),
             data,
         }
     }
 
-    /// Relaxes the given colour over all owned rows via the shared slice
-    /// kernel. Local row `l` is global row `global_start + l - 1`.
+    fn width(&self) -> usize {
+        self.cols + 2
+    }
+
+    /// Relaxes the given colour over the owned tile via the shared slice
+    /// kernel.
     fn sweep(&mut self, color: Color, omega: f64) {
+        let (w, rows) = (self.width(), self.rows);
         relax_rows(
             &mut self.data,
-            self.n,
+            w,
             color.parity(),
             omega,
             1,
-            self.rows + 1,
-            self.global_start - 1,
+            rows + 1,
+            self.origin,
         );
     }
 
-    fn copy_top_row(&self, out: &mut [f64]) {
-        out.copy_from_slice(&self.data[self.n..2 * self.n]);
+    /// First flat index and stride of the line of cells facing `peer`:
+    /// the owned boundary edge at `depth` 1, the halo beyond it at 0.
+    fn line(&self, peer: Peer, depth: usize) -> (usize, usize) {
+        let w = self.width();
+        match peer {
+            Peer::Up => (depth * w + 1, 1),
+            Peer::Down => ((self.rows + 1 - depth) * w + 1, 1),
+            Peer::Left => (w + depth, w),
+            Peer::Right => (w + self.cols + 1 - depth, w),
+        }
     }
 
-    fn copy_bottom_row(&self, out: &mut [f64]) {
-        let l = self.rows;
-        out.copy_from_slice(&self.data[l * self.n..(l + 1) * self.n]);
+    fn copy_edge(&self, peer: Peer, out: &mut [f64]) {
+        let (start, stride) = self.line(peer, 1);
+        for (o, &v) in out
+            .iter_mut()
+            .zip(self.data[start..].iter().step_by(stride))
+        {
+            *o = v;
+        }
     }
 
-    fn set_upper_ghost(&mut self, row: &[f64]) {
-        self.data[..self.n].copy_from_slice(row);
+    fn set_halo(&mut self, peer: Peer, edge: &[f64]) {
+        let (start, stride) = self.line(peer, 0);
+        for (d, &v) in self.data[start..].iter_mut().step_by(stride).zip(edge) {
+            *d = v;
+        }
     }
 
-    fn set_lower_ghost(&mut self, row: &[f64]) {
-        let l = self.rows + 1;
-        self.data[l * self.n..(l + 1) * self.n].copy_from_slice(row);
-    }
-
-    fn owned_rows(&self) -> &[f64] {
-        &self.data[self.n..(self.rows + 1) * self.n]
+    /// Writes the owned cells back into the global grid.
+    fn store(&self, grid: &mut Grid) {
+        let (n, w) = (grid.n(), self.width());
+        for li in 1..=self.rows {
+            let at = (self.origin.0 + li) * n + self.origin.1 + 1;
+            grid.data_mut()[at..at + self.cols]
+                .copy_from_slice(&self.data[li * w + 1..li * w + 1 + self.cols]);
+        }
     }
 }
 
-/// Mailbox bundle for one worker's neighbour links.
-#[derive(Default)]
-struct Links {
-    to_up: Option<RecycledSender>,
-    from_up: Option<RecycledReceiver>,
-    to_down: Option<RecycledSender>,
-    from_down: Option<RecycledReceiver>,
+/// One worker's end of the link to a neighbour: the recycled sender of
+/// its own edges, the receiver of the neighbour's, and the neighbour's
+/// rank.
+struct Link {
+    rank: usize,
+    tx: RecycledSender,
+    rx: RecycledReceiver,
+}
+
+/// A worker's links, indexed by [`Peer`]; `None` toward the boundary.
+type Links = [Option<Link>; 4];
+
+/// Wires every neighbouring pair of tiles with two recycled links, one
+/// per direction, each owning one buffer of the shared edge's length for
+/// the whole solve.
+fn wire(layout: BlockLayout, tiles: &[Block]) -> Vec<Links> {
+    let mut links: Vec<Links> = tiles.iter().map(|_| Default::default()).collect();
+    for (rank, tile) in tiles.iter().enumerate() {
+        for peer in [Peer::Down, Peer::Right] {
+            let Some(q) = layout.neighbour(rank, peer) else {
+                continue;
+            };
+            let (tx_out, rx_out) = recycled_link(tile.edge_len(peer));
+            let (tx_back, rx_back) = recycled_link(tile.edge_len(peer));
+            links[rank][peer as usize] = Some(Link {
+                rank: q,
+                tx: tx_out,
+                rx: rx_back,
+            });
+            links[q][peer.opposite() as usize] = Some(Link {
+                rank,
+                tx: tx_back,
+                rx: rx_out,
+            });
+        }
+    }
+    links
 }
 
 /// One worker's full run: sweep, then execute the extracted
-/// [`half_iteration_script`] — ship boundary rows to both neighbours,
-/// then drain fresh ghosts — every half-iteration. Any exchange failure
+/// [`half_iteration_script`] — ship boundary edges to every neighbour,
+/// then drain fresh halos — every half-iteration. Any exchange failure
 /// or injected death ends the run early (dropping the worker's links,
 /// which is what a neighbour observes as this worker's death).
 ///
@@ -261,27 +307,35 @@ struct Links {
 /// protocol deadlock-free for small configurations.
 fn worker_loop(
     rank: usize,
-    ranks: usize,
+    layout: BlockLayout,
     worker: &mut Worker,
-    link: &mut Links,
+    links: &mut Links,
     params: SorParams,
-    policy: &ExchangePolicy,
-    kill: Option<WorkerDeath>,
+    options: SolveOptions,
 ) -> WorkerEnd {
-    let script = half_iteration_script(rank, ranks);
+    let script = half_iteration_script(layout, rank);
     let mut half = 0usize;
     for _ in 0..params.iterations {
         for color in [Color::Red, Color::Black] {
-            if death_fires(kill, rank, half) {
+            if death_fires(options.kill, rank, half) {
                 return WorkerEnd::Died;
             }
             worker.sweep(color, params.omega);
-            for op in &script {
-                if let Err(e) = run_op(*op, worker, link, policy) {
-                    let peer = match op {
-                        ExchangeOp::Send(p) | ExchangeOp::Recv(p) => *p,
-                    };
-                    return end_of(e, peer.rank_of(rank));
+            for &op in &script {
+                let peer = op.peer();
+                let link = links[peer as usize]
+                    .as_mut()
+                    .expect("the script names only neighbours the layout wired"); // tidy:allow(PP003): half_iteration_script and wire both enumerate layout.neighbours
+                let exchanged = match op {
+                    ExchangeOp::Send(_) => link
+                        .tx
+                        .try_send_with(&options.policy, |buf| worker.copy_edge(peer, buf)),
+                    ExchangeOp::Recv(_) => link
+                        .rx
+                        .try_recv_with(&options.policy, |edge| worker.set_halo(peer, edge)),
+                };
+                if let Err(e) = exchanged {
+                    return end_of(e, link.rank);
                 }
             }
             half += 1;
@@ -290,75 +344,47 @@ fn worker_loop(
     WorkerEnd::Completed
 }
 
-/// Executes one scripted mailbox operation against the worker's links.
-/// The script only names neighbours the decomposition gave this rank, so
-/// the matching link is always present.
-fn run_op(
-    op: ExchangeOp,
-    worker: &mut Worker,
-    link: &mut Links,
-    policy: &ExchangePolicy,
-) -> Result<(), ExchangeError> {
-    match op {
-        ExchangeOp::Send(Peer::Up) => link
-            .to_up
-            .as_mut()
-            .expect("script sends up only when an upper link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_send_with(policy, |buf| worker.copy_top_row(buf)),
-        ExchangeOp::Send(Peer::Down) => link
-            .to_down
-            .as_mut()
-            .expect("script sends down only when a lower link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_send_with(policy, |buf| worker.copy_bottom_row(buf)),
-        ExchangeOp::Recv(Peer::Up) => link
-            .from_up
-            .as_ref()
-            .expect("script receives up only when an upper link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_recv_with(policy, |row| worker.set_upper_ghost(row)),
-        ExchangeOp::Recv(Peer::Down) => link
-            .from_down
-            .as_ref()
-            .expect("script receives down only when a lower link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_recv_with(policy, |row| worker.set_lower_ghost(row)),
-    }
-}
-
-/// Fallible core of the strip solver: every ghost exchange is bounded by
-/// `options.policy`, and a worker death — a panic, or `options.kill`
-/// firing — returns [`SolveError::WorkerDied`] instead of deadlocking or
-/// re-panicking. On any error the grid is left in its initial state.
+/// Fallible core of the threaded solver: every ghost exchange is bounded
+/// by `options.policy`, and a worker death — a panic, or `options.kill`
+/// firing (rank = tile index, row-major for blocks) — returns
+/// [`SolveError::WorkerDied`] instead of deadlocking or re-panicking. On
+/// any error the grid is left in its initial state.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty (decompose with `n >> p`), if strips do
-/// not tile the interior, or on invalid `omega` — configuration errors,
-/// not runtime faults.
+/// Panics if any tile is empty (decompose with `n >> p`), if strips do
+/// not tile the interior, if a block layout is finer than the interior,
+/// or on invalid `omega` — configuration errors, not runtime faults.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::WorkerDied`] when a worker panics, an injected
-/// death fires, or a neighbour exchange disconnects or exhausts its
-/// timeout budget.
-pub fn try_solve_parallel_strips(
+/// death fires, or a neighbour exchange disconnects, and
+/// [`SolveError::ExchangeTimeout`] when one exhausts its timeout budget.
+pub fn try_solve_parallel<'a>(
     grid: &mut Grid,
     params: SorParams,
-    strips: &[Strip],
+    decomposition: impl Into<Decomposition<'a>>,
     options: &SolveOptions,
 ) -> Result<(), SolveError> {
     assert!(
         params.omega > 0.0 && params.omega < 2.0,
         "omega must lie in (0,2)"
     );
+    let decomposition = decomposition.into();
+    if let Decomposition::Strips(strips) = decomposition {
+        assert!(
+            strips_are_valid(strips, grid.n() - 2),
+            "strips must tile the interior rows"
+        );
+    }
+    let layout = decomposition.layout();
+    let tiles = decomposition.tiles(grid.n());
     assert!(
-        crate::decomp::strips_are_valid(strips, grid.n() - 2),
-        "strips must tile the interior rows"
+        tiles.iter().all(|t| t.elements() > 0),
+        "every processor needs at least one cell"
     );
-    assert!(
-        strips.iter().all(|s| s.n_rows() > 0),
-        "every processor needs at least one row"
-    );
-    let p = strips.len();
-    if p == 1 {
+    if tiles.len() == 1 {
         // A single worker exchanges nothing, but an injected death still
         // kills the solve before it completes.
         if options
@@ -371,30 +397,18 @@ pub fn try_solve_parallel_strips(
         return Ok(());
     }
 
-    // Build the neighbour links: worker i exchanges rows with i+1. Each
-    // direction recycles one owned n-element buffer for the whole solve.
-    let n = grid.n();
-    let mut links: Vec<Links> = (0..p).map(|_| Links::default()).collect();
-    for i in 0..p - 1 {
-        let (tx_down, rx_down) = recycled_link(n); // i -> i+1
-        let (tx_up, rx_up) = recycled_link(n); // i+1 -> i
-        links[i].to_down = Some(tx_down);
-        links[i].from_down = Some(rx_up);
-        links[i + 1].to_up = Some(tx_up);
-        links[i + 1].from_up = Some(rx_down);
-    }
-
-    let mut workers: Vec<Worker> = strips.iter().map(|s| Worker::new(grid, s)).collect();
-
+    let links = wire(layout, &tiles);
+    let mut workers: Vec<Worker> = tiles.iter().map(|t| Worker::new(grid, t)).collect();
     let ends: Vec<(usize, std::thread::Result<WorkerEnd>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (rank, (worker, mut link)) in workers.iter_mut().zip(links).enumerate() {
-            let policy = options.policy;
-            let kill = options.kill;
-            handles.push(
-                scope.spawn(move || worker_loop(rank, p, worker, &mut link, params, &policy, kill)),
-            );
-        }
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .zip(links)
+            .enumerate()
+            .map(|(rank, (worker, mut link))| {
+                let options = *options;
+                scope.spawn(move || worker_loop(rank, layout, worker, &mut link, params, options))
+            })
+            .collect();
         // Joining here (rather than letting the scope do it) converts a
         // worker's panic into an inspectable result instead of a
         // propagated re-panic.
@@ -406,43 +420,37 @@ pub fn try_solve_parallel_strips(
     });
     resolve(ends)?;
 
-    // Assemble the solution.
-    for (worker, strip) in workers.iter().zip(strips) {
-        let owned = worker.owned_rows();
-        for (k, r) in strip.rows.clone().enumerate() {
-            grid.set_row(r, &owned[k * grid.n()..(k + 1) * grid.n()]);
-        }
+    for worker in &workers {
+        worker.store(grid);
     }
     Ok(())
 }
 
-/// Solves in parallel over the given strips, updating `grid` in place.
+/// Solves in parallel over `decomposition` (strips or blocks), updating
+/// `grid` in place. Bit-for-bit equal to [`crate::seq::solve_seq`].
 ///
 /// Runs the fallible core under [`SolveOptions::reliable`]: a wedged
 /// neighbour is waited out near-indefinitely, so on a healthy run this
-/// behaves exactly like the original blocking driver.
+/// behaves exactly like a blocking solve.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty (decompose with `n >> p`), if strips do
-/// not tile the interior, on invalid `omega`, or if a worker dies — use
-/// [`try_solve_parallel_strips`] to handle death as a typed error.
-pub fn solve_parallel_strips(grid: &mut Grid, params: SorParams, strips: &[Strip]) {
-    try_solve_parallel_strips(grid, params, strips, &SolveOptions::reliable())
+/// Panics on the configuration errors of [`try_solve_parallel`], or if a
+/// worker dies — use [`try_solve_parallel`] to handle death as a typed
+/// error.
+pub fn solve_parallel<'a>(
+    grid: &mut Grid,
+    params: SorParams,
+    decomposition: impl Into<Decomposition<'a>>,
+) {
+    try_solve_parallel(grid, params, decomposition, &SolveOptions::reliable())
         .unwrap_or_else(|e| panic!("parallel solve failed: {e}"));
-}
-
-/// Solves with an equal strip decomposition over `p` workers.
-pub fn solve_parallel(grid: &mut Grid, params: SorParams, p: usize) {
-    assert!(p > 0, "need at least one worker");
-    let strips = partition_equal(grid.n() - 2, p);
-    solve_parallel_strips(grid, params, &strips);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::partition_rows;
+    use crate::decomp::{partition_equal, partition_rows};
     use crate::seq::solve_seq;
 
     fn solved_seq(n: usize, iters: usize) -> Grid {
@@ -458,7 +466,11 @@ mod tests {
             let iters = 30;
             let reference = solved_seq(n, iters);
             let mut g = Grid::laplace_problem(n);
-            solve_parallel(&mut g, SorParams::for_grid(n, iters), p);
+            solve_parallel(
+                &mut g,
+                SorParams::for_grid(n, iters),
+                &partition_equal(n - 2, p),
+            );
             assert_eq!(
                 g.max_diff(&reference),
                 0.0,
@@ -474,7 +486,7 @@ mod tests {
         let reference = solved_seq(n, iters);
         let strips = partition_rows(n - 2, &[3.0, 1.0, 2.0]);
         let mut g = Grid::laplace_problem(n);
-        solve_parallel_strips(&mut g, SorParams::for_grid(n, iters), &strips);
+        solve_parallel(&mut g, SorParams::for_grid(n, iters), &strips);
         assert_eq!(g.max_diff(&reference), 0.0);
     }
 
@@ -483,7 +495,11 @@ mod tests {
         let n = 17;
         let reference = solved_seq(n, 10);
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, 10), 1);
+        solve_parallel(
+            &mut g,
+            SorParams::for_grid(n, 10),
+            &partition_equal(n - 2, 1),
+        );
         assert_eq!(g.max_diff(&reference), 0.0);
     }
 
@@ -491,7 +507,11 @@ mod tests {
     fn converges_in_parallel() {
         let n = 33;
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, 400), 4);
+        solve_parallel(
+            &mut g,
+            SorParams::for_grid(n, 400),
+            &partition_equal(n - 2, 4),
+        );
         assert!(g.max_residual() < 1e-9, "residual {}", g.max_residual());
     }
 
@@ -502,7 +522,11 @@ mod tests {
         let iters = 15;
         let reference = solved_seq(n, iters);
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, iters), 8);
+        solve_parallel(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            &partition_equal(n - 2, 8),
+        );
         assert_eq!(g.max_diff(&reference), 0.0);
     }
 
@@ -511,7 +535,7 @@ mod tests {
     fn rejects_empty_strip() {
         // 2 interior rows across 3 workers -> an empty strip.
         let mut g = Grid::laplace_problem(4);
-        solve_parallel(&mut g, SorParams::for_grid(4, 1), 3);
+        solve_parallel(&mut g, SorParams::for_grid(4, 1), &partition_equal(2, 3));
     }
 
     fn kill_options(rank: usize, at_half_iteration: usize) -> SolveOptions {
@@ -534,7 +558,7 @@ mod tests {
         let reference = solved_seq(n, iters);
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 4);
-        try_solve_parallel_strips(
+        try_solve_parallel(
             &mut g,
             SorParams::for_grid(n, iters),
             &strips,
@@ -552,7 +576,7 @@ mod tests {
             let initial = Grid::laplace_problem(n);
             let mut g = initial.clone();
             let strips = partition_equal(n - 2, 4);
-            let err = try_solve_parallel_strips(
+            let err = try_solve_parallel(
                 &mut g,
                 SorParams::for_grid(n, 10),
                 &strips,
@@ -572,7 +596,7 @@ mod tests {
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 3);
         // Half-iterations run 0..2*iters; 2*iters is past the end.
-        try_solve_parallel_strips(
+        try_solve_parallel(
             &mut g,
             SorParams::for_grid(n, iters),
             &strips,
@@ -587,7 +611,7 @@ mod tests {
         let n = 17;
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 3);
-        try_solve_parallel_strips(
+        try_solve_parallel(
             &mut g,
             SorParams::for_grid(n, 5),
             &strips,
@@ -602,7 +626,7 @@ mod tests {
         let initial = Grid::laplace_problem(n);
         let mut g = initial.clone();
         let strips = partition_equal(n - 2, 1);
-        let err = try_solve_parallel_strips(
+        let err = try_solve_parallel(
             &mut g,
             SorParams::for_grid(n, 5),
             &strips,
@@ -611,5 +635,92 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, SolveError::WorkerDied { rank: 0 });
         assert_eq!(g.max_diff(&initial), 0.0);
+    }
+
+    #[test]
+    fn blocks_match_sequential_bitwise() {
+        for (pr, pc) in [(2, 2), (1, 3), (3, 1), (2, 3), (3, 3)] {
+            let n = 26;
+            let iters = 15;
+            let reference = solved_seq(n, iters);
+            let mut g = Grid::laplace_problem(n);
+            solve_parallel(
+                &mut g,
+                SorParams::for_grid(n, iters),
+                BlockLayout::new(pr, pc),
+            );
+            assert_eq!(
+                g.max_diff(&reference),
+                0.0,
+                "layout {pr}x{pc} differs from sequential"
+            );
+        }
+    }
+
+    #[test]
+    fn single_block_delegates() {
+        let n = 15;
+        let reference = solved_seq(n, 8);
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel(&mut g, SorParams::for_grid(n, 8), BlockLayout::new(1, 1));
+        assert_eq!(g.max_diff(&reference), 0.0);
+    }
+
+    #[test]
+    fn converges_with_blocks() {
+        let n = 33;
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel(&mut g, SorParams::for_grid(n, 400), BlockLayout::new(2, 2));
+        assert!(g.max_residual() < 1e-9, "residual {}", g.max_residual());
+    }
+
+    #[test]
+    fn killed_block_worker_returns_typed_error() {
+        // Corner, edge, and interior blocks of a 3x3 layout.
+        for (rank, half) in [(0, 0), (4, 3), (8, 7), (5, 2)] {
+            let n = 26;
+            let initial = Grid::laplace_problem(n);
+            let mut g = initial.clone();
+            let err = try_solve_parallel(
+                &mut g,
+                SorParams::for_grid(n, 10),
+                BlockLayout::new(3, 3),
+                &kill_options(rank, half),
+            )
+            .unwrap_err();
+            assert_eq!(err, SolveError::WorkerDied { rank }, "kill rank {rank}");
+            assert_eq!(g.max_diff(&initial), 0.0, "grid must stay untouched");
+        }
+    }
+
+    #[test]
+    fn fallible_block_solve_without_faults_matches_sequential() {
+        let n = 22;
+        let iters = 12;
+        let want = solved_seq(n, iters);
+        let mut g = Grid::laplace_problem(n);
+        try_solve_parallel(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            BlockLayout::new(2, 3),
+            &SolveOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(g.max_diff(&want), 0.0);
+    }
+
+    #[test]
+    fn uneven_blocks_still_match() {
+        // Interior 11 split 3x2: ragged blocks.
+        let n = 13;
+        let iters = 10;
+        let reference = solved_seq(n, iters);
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            BlockLayout::new(3, 2),
+        );
+        assert_eq!(g.max_diff(&reference), 0.0);
     }
 }

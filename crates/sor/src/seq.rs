@@ -33,7 +33,8 @@ impl SorParams {
 pub fn sweep_color_rows(grid: &mut Grid, color: Color, omega: f64, row_lo: usize, row_hi: usize) {
     let n = grid.n();
     debug_assert!(row_lo >= 1 && row_hi < n);
-    crate::kernel::relax_rows(grid.data_mut(), n, color.parity(), omega, row_lo, row_hi, 0);
+    let data = grid.data_mut();
+    crate::kernel::relax_rows(data, n, color.parity(), omega, row_lo, row_hi, (0, 0));
 }
 
 /// One full red+black iteration over the whole interior, with the two
@@ -54,12 +55,12 @@ pub fn sweep_iteration(grid: &mut Grid, omega: f64) {
     let red = Color::Red.parity();
     let black = Color::Black.parity();
     let data = grid.data_mut();
-    crate::kernel::relax_rows(data, n, red, omega, 1, 2, 0);
+    crate::kernel::relax_rows(data, n, red, omega, 1, 2, (0, 0));
     for i in 2..n - 1 {
-        crate::kernel::relax_rows(data, n, red, omega, i, i + 1, 0);
-        crate::kernel::relax_rows(data, n, black, omega, i - 1, i, 0);
+        crate::kernel::relax_rows(data, n, red, omega, i, i + 1, (0, 0));
+        crate::kernel::relax_rows(data, n, black, omega, i - 1, i, (0, 0));
     }
-    crate::kernel::relax_rows(data, n, black, omega, n - 2, n - 1, 0);
+    crate::kernel::relax_rows(data, n, black, omega, n - 2, n - 1, (0, 0));
 }
 
 /// Runs red-black iterations until the residual drops below `tol` or

@@ -3,8 +3,8 @@
 
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
-    partition_equal, partition_rows, simulate, solve_parallel_strips, solve_seq, DistSorConfig,
-    Grid, SorParams,
+    partition_equal, partition_rows, simulate, solve_parallel, solve_seq, DistSorConfig, Grid,
+    SorParams,
 };
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ proptest! {
         let mut seq = Grid::laplace_problem(n);
         solve_seq(&mut seq, params);
         let mut par = Grid::laplace_problem(n);
-        solve_parallel_strips(&mut par, params, &partition_equal(n - 2, p));
+        solve_parallel(&mut par, params, &partition_equal(n - 2, p));
         prop_assert_eq!(par.max_diff(&seq), 0.0);
     }
 

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 // tidy:allow(PP010): counting allocator — a monotone test-only tally, no cross-thread protocol
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use prodpred_sor::{solve_parallel, Grid, SorParams};
+use prodpred_sor::{partition_equal, solve_parallel, BlockLayout, Decomposition, Grid, SorParams};
 
 struct CountingAlloc;
 
@@ -51,30 +51,38 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-fn solve(n: usize, p: usize, iters: usize) {
+fn solve(n: usize, decomposition: Decomposition<'_>, iters: usize) {
     let mut g = Grid::laplace_problem(n);
-    solve_parallel(&mut g, SorParams::for_grid(n, iters), p);
+    solve_parallel(&mut g, SorParams::for_grid(n, iters), decomposition);
 }
 
 #[test]
 fn ghost_exchange_steady_state_allocates_nothing() {
     let n = 65;
-    let p = 4;
-    // Warm up thread-local and lazy-init allocations (panic hooks, TLS).
-    solve(n, p, 2);
+    let strips = partition_equal(n - 2, 4);
+    // Four strips (three chain links) and a 2x2 block layout (four links,
+    // row and column edges alike). One test runs both, one after the
+    // other, so no concurrent test pollutes the global count.
+    for decomposition in [
+        Decomposition::Strips(&strips),
+        Decomposition::Blocks(BlockLayout::new(2, 2)),
+    ] {
+        // Warm up thread-local and lazy-init allocations (panic hooks, TLS).
+        solve(n, decomposition, 2);
 
-    let base = allocations_during(|| solve(n, p, 4));
-    let long = allocations_during(|| solve(n, p, 64));
+        let base = allocations_during(|| solve(n, decomposition, 4));
+        let long = allocations_during(|| solve(n, decomposition, 64));
 
-    // 60 extra iterations x 2 colours x 6 inter-strip links would cost
-    // >= 720 allocations if each ghost-row send allocated (the old
-    // behaviour: a fresh Vec per boundary row per phase, plus a channel
-    // node per send). Recycled buffers make the counts identical up to
-    // scheduler noise.
-    let delta = long.saturating_sub(base);
-    assert!(
-        delta < 64,
-        "per-iteration allocations detected: {base} allocs at 4 iters, \
-         {long} at 64 iters (delta {delta})"
-    );
+        // 60 extra iterations x 2 colours x 6 or 8 directed links would cost
+        // >= 720 allocations if each ghost send allocated (the old
+        // behaviour: a fresh Vec per boundary row per phase, plus a
+        // channel node per send). Recycled buffers make the counts
+        // identical up to scheduler noise.
+        let delta = long.saturating_sub(base);
+        assert!(
+            delta < 64,
+            "{decomposition:?}: per-iteration allocations detected: {base} allocs at \
+             4 iters, {long} at 64 iters (delta {delta})"
+        );
+    }
 }

@@ -4,8 +4,8 @@
 
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
-    partition_blocks, partition_equal, simulate, simulate_blocks, solve_parallel_blocks,
-    solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, SorParams,
+    partition_blocks, partition_equal, simulate, solve_parallel, solve_seq, BlockLayout,
+    DistSorConfig, Grid, SorParams,
 };
 use prodpred_stochastic::{max_of, Dependence, MaxStrategy};
 use prodpred_structural::{phase_comm_messages, Param, PtToPtModel};
@@ -19,11 +19,11 @@ fn all_three_solvers_agree_bitwise() {
     solve_seq(&mut seq, params);
 
     let mut strips = Grid::laplace_problem(n);
-    solve_parallel_strips(&mut strips, params, &partition_equal(n - 2, 3));
+    solve_parallel(&mut strips, params, &partition_equal(n - 2, 3));
     assert_eq!(strips.max_diff(&seq), 0.0);
 
     let mut blocks = Grid::laplace_problem(n);
-    solve_parallel_blocks(&mut blocks, params, BlockLayout::new(3, 2));
+    solve_parallel(&mut blocks, params, BlockLayout::new(3, 2));
     assert_eq!(blocks.max_diff(&seq), 0.0);
 }
 
@@ -55,18 +55,11 @@ fn block_structural_model_tracks_simulator_when_dedicated() {
     let comm_terms: Vec<_> = blocks
         .iter()
         .map(|b| {
-            let (u, d, l, r) = layout.neighbours(b.coords.0, b.coords.1);
             let mut msgs = Vec::new();
-            for (link, elems) in [
-                (u, b.n_cols() as f64),
-                (d, b.n_cols() as f64),
-                (l, b.n_rows() as f64),
-                (r, b.n_rows() as f64),
-            ] {
-                if link.is_some() {
-                    msgs.push(elems); // send
-                    msgs.push(elems); // receive
-                }
+            for (peer, _) in layout.neighbours(b.proc) {
+                let elems = b.edge_len(peer) as f64;
+                msgs.push(elems); // send
+                msgs.push(elems); // receive
             }
             phase_comm_messages(&network, &msgs)
         })
@@ -80,12 +73,7 @@ fn block_structural_model_tracks_simulator_when_dedicated() {
         .scale(2.0); // red + black phases
     let predicted = per_iter.scale(iterations as f64).mean();
 
-    let run = simulate_blocks(
-        &platform,
-        &blocks,
-        layout,
-        DistSorConfig::new(n, iterations, 0.0),
-    );
+    let run = simulate(&platform, layout, DistSorConfig::new(n, iterations, 0.0));
     let err = (predicted - run.total_secs).abs() / run.total_secs;
     assert!(
         err < 0.02,
@@ -107,9 +95,7 @@ fn comm_advantage_grows_with_processor_count() {
         platform.network.spec.dedicated_bw = 1.0e5; // very slow: comm-bound
         let cfg = DistSorConfig::new(n, 5, 0.0);
         let t_strip = simulate(&platform, &partition_equal(n - 2, p), cfg).total_secs;
-        let layout = BlockLayout::squarest(p);
-        let t_block =
-            simulate_blocks(&platform, &partition_blocks(n, layout), layout, cfg).total_secs;
+        let t_block = simulate(&platform, BlockLayout::squarest(p), cfg).total_secs;
         ratios.push(t_strip / t_block);
     }
     assert!(

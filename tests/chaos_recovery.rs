@@ -5,9 +5,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use prodpred_core::{
-    platform2_experiment_supervised, solve_blocks_supervised, solve_strips_supervised, RetryPolicy,
-};
+use prodpred_core::{platform2_experiment_supervised, solve_supervised, RetryPolicy};
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{mix, FaultConfig, FaultSchedule, WorkerDeath};
 use prodpred_sor::{
@@ -37,7 +35,7 @@ fn killed_then_resumed_strip_solve_is_bit_identical() {
         }],
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_strips_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
         &partition_equal(n - 2, 4),
@@ -75,7 +73,7 @@ fn killed_then_resumed_block_solve_is_bit_identical() {
         }],
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_blocks_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
         BlockLayout::new(2, 2),
@@ -110,7 +108,7 @@ fn schedule_beyond_the_retry_budget_exhausts_into_a_typed_error() {
         ..RetryPolicy::default()
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_strips_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
         &partition_equal(n - 2, 3),
@@ -141,7 +139,7 @@ fn mini_campaign_is_deterministic_across_pool_widths_with_zero_panics() {
         let outcomes = parallel_map(&campaign, threads, |_, schedule| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut grid = Grid::laplace_problem(n);
-                let recovery = solve_strips_supervised(
+                let recovery = solve_supervised(
                     &mut grid,
                     SorParams::for_grid(n, iters),
                     &partition_equal(n - 2, ranks),

@@ -2,8 +2,7 @@
 //! real multithreaded, and the performance model's element accounting.
 
 use prodpred_sor::{
-    optimal_omega, partition_equal, partition_rows, solve_parallel_strips, solve_seq, Grid,
-    SorParams,
+    optimal_omega, partition_equal, partition_rows, solve_parallel, solve_seq, Grid, SorParams,
 };
 
 #[test]
@@ -14,7 +13,7 @@ fn parallel_equals_sequential_across_sizes_and_widths() {
             let mut seq = Grid::laplace_problem(n);
             solve_seq(&mut seq, params);
             let mut par = Grid::laplace_problem(n);
-            solve_parallel_strips(&mut par, params, &partition_equal(n - 2, p));
+            solve_parallel(&mut par, params, &partition_equal(n - 2, p));
             assert_eq!(par.max_diff(&seq), 0.0, "n={n}, p={p}");
         }
     }
@@ -29,7 +28,7 @@ fn heterogeneous_weighted_strips_preserve_numerics() {
     // Weights mimicking Platform 1's machine speeds.
     let strips = partition_rows(n - 2, &[0.5, 0.5, 0.77, 1.11]);
     let mut par = Grid::laplace_problem(n);
-    solve_parallel_strips(&mut par, params, &strips);
+    solve_parallel(&mut par, params, &strips);
     assert_eq!(par.max_diff(&seq), 0.0);
 }
 
@@ -37,7 +36,7 @@ fn heterogeneous_weighted_strips_preserve_numerics() {
 fn converged_solution_satisfies_discrete_laplace() {
     let n = 33;
     let mut g = Grid::laplace_problem(n);
-    solve_parallel_strips(
+    solve_parallel(
         &mut g,
         SorParams {
             omega: optimal_omega(n),
